@@ -5,10 +5,10 @@ Three instrument kinds, all label-aware:
 * :class:`Counter`   -- monotonically increasing count (requests, hits);
 * :class:`Gauge`     -- last-write-wins level (workers, queue depth);
 * :class:`Histogram` -- exact count/sum/min/max plus a bounded sliding
-  window of recent observations for percentiles (the same recent-window
-  semantics the service's latency ring already uses: an operator tuning
+  window of recent observations for percentiles (an operator tuning
   knobs wants the *current* distribution, and the bound keeps a
-  long-lived process flat).
+  long-lived process flat).  :meth:`Histogram.export` hands out the
+  raw state, which merges across processes where percentiles cannot.
 
 A *series* is one (name, label-set) pair.  The number of label-sets per
 metric name is capped (default 128): unbounded label values -- a
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from typing import Iterable
 
 __all__ = [
     "CardinalityError",
@@ -42,6 +43,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "summarize_histogram",
 ]
 
 
@@ -131,22 +133,40 @@ class Histogram:
             window = sorted(self._window)
         return _percentile(window, q)
 
-    def snapshot(self) -> dict:
+    def export(self) -> dict:
+        """Mergeable raw state: the exact aggregates plus the window.
+
+        Percentiles cannot be merged across processes but samples can,
+        so this (not :meth:`snapshot`) is what crosses process bounds.
+        """
         with self._lock:
-            count, total = self.count, self.sum
-            low, high = self.min, self.max
-            window = sorted(self._window)
-        return {
-            "count": count,
-            "sum": total,
-            "min": low if count else 0.0,
-            "max": high if count else 0.0,
-            "mean": total / count if count else 0.0,
-            "window": len(window),
-            "p50": _percentile(window, 0.50),
-            "p90": _percentile(window, 0.90),
-            "p99": _percentile(window, 0.99),
-        }
+            return {
+                "count": self.count,
+                "sum": self.sum,
+                "min": self.min if self.count else 0.0,
+                "max": self.max if self.count else 0.0,
+                "samples": list(self._window),
+            }
+
+    def snapshot(self) -> dict:
+        return summarize_histogram(self.export())
+
+
+def summarize_histogram(raw: dict) -> dict:
+    """The snapshot of a :meth:`Histogram.export` (or of a merge of them)."""
+    count, total = raw["count"], raw["sum"]
+    window = sorted(raw["samples"])
+    return {
+        "count": count,
+        "sum": total,
+        "min": raw["min"],
+        "max": raw["max"],
+        "mean": total / count if count else 0.0,
+        "window": len(window),
+        "p50": _percentile(window, 0.50),
+        "p90": _percentile(window, 0.90),
+        "p99": _percentile(window, 0.99),
+    }
 
 
 class MetricsRegistry:
@@ -221,12 +241,22 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """JSON-able dump: {name: {kind, series: [{labels, value}]}}."""
+        return self._dump(lambda instrument: instrument.snapshot())
+
+    def export(self, names: Iterable[str]) -> dict:
+        """Mergeable dump of the ``names`` families: :meth:`snapshot`'s
+        shape, with each histogram's :meth:`Histogram.export` as value."""
+        return self._dump(
+            lambda i: i.export() if i.kind == "histogram" else i.snapshot(),
+            set(names),
+        )
+
+    def _dump(self, value, names: set[str] | None = None) -> dict:
         out: dict[str, dict] = {}
         for name, kind, labels, instrument in self.series():
-            entry = out.setdefault(name, {"kind": kind, "series": []})
-            entry["series"].append(
-                {"labels": labels, "value": instrument.snapshot()}
-            )
+            if names is None or name in names:
+                entry = out.setdefault(name, {"kind": kind, "series": []})
+                entry["series"].append({"labels": labels, "value": value(instrument)})
         return out
 
     def get_value(self, name: str, **labels) -> object | None:

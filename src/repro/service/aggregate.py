@@ -3,15 +3,20 @@
 With ``--workers N`` a ``GET /metrics`` lands on *one* worker, and
 silently reporting that process as if it were the service would
 under-count the fleet by roughly ``(N-1)/N``.  Instead every worker
-periodically (and on each ``/metrics`` request) drops a snapshot dump
--- counters plus the **raw** latency windows, because percentiles
-cannot be merged but samples can -- into the supervisor's runtime
-directory via :func:`repro.util.cache.atomic_write_json`.  The worker
-answering ``/metrics`` then reads every sibling's latest dump and
-serves the merged fleet view: counters summed, latency windows
-concatenated and re-ranked, per-worker gauges (pid, uptime, in-flight,
-cache occupancy) labelled by ``worker_id`` under ``workers`` instead
-of being averaged into meaninglessness.
+periodically (and on each ``/metrics`` request) drops a dump into the
+supervisor's runtime directory via
+:func:`repro.util.cache.atomic_write_json`: the raw registry export of
+the service families (:meth:`repro.service.metrics.ServiceMetrics.export`
+-- counters, plus each histogram's count, sum, min, max and **window
+samples**, because percentiles cannot be merged but samples can) and a
+few per-worker gauges.  The worker answering ``/metrics`` reads every
+sibling's latest dump and merges the exports generically
+(:func:`merge_families`): counters summed, histogram count/sum summed,
+min/max combined, windows concatenated.  The merged export goes
+through the same :func:`repro.service.metrics.sections` derivation as
+a single process's.  Per-worker gauges (pid, uptime, in-flight, cache
+occupancy) are labelled by ``worker_id`` under ``workers`` instead of
+being averaged into meaninglessness.
 
 Peer dumps are bounded-stale (at most ``metrics_sync_s`` plus one
 write); each worker's ``age_s`` is reported so dashboards can see the
@@ -25,13 +30,14 @@ import os
 import pathlib
 import time
 
-from repro.service.metrics import _percentile
+from repro.service.metrics import sections
 from repro.util.cache import atomic_write_json
 
 __all__ = [
     "worker_dump_path",
     "write_worker_dump",
     "read_worker_dumps",
+    "merge_families",
     "merge_worker_dumps",
 ]
 
@@ -70,38 +76,51 @@ def read_worker_dumps(runtime_dir: str) -> list[dict]:
 # ----------------------------------------------------------------------
 # merging
 # ----------------------------------------------------------------------
-def _merge_stat_dumps(dumps: list[dict]) -> dict:
-    """Sum counters, concatenate latency windows, re-rank percentiles."""
-    requests = sum(d.get("requests", 0) for d in dumps)
-    errors = sum(d.get("errors", 0) for d in dumps)
-    timeouts = sum(d.get("timeouts", 0) for d in dumps)
-    sheds = sum(d.get("sheds", 0) for d in dumps)
-    window = sorted(
-        v for d in dumps for v in d.get("latencies_ms", ()) if v is not None
-    )
+def _merge_histograms(parts: list[dict]) -> dict:
+    """One histogram export from many: exact aggregates combined,
+    windows concatenated (re-ranked when summarized)."""
+    seen = [p for p in parts if p["count"]]
     return {
-        "requests": requests,
-        "errors": errors,
-        "timeouts": timeouts,
-        "sheds": sheds,
-        "latency_ms": {
-            "window": len(window),
-            "mean": sum(window) / len(window) if window else 0.0,
-            "p50": _percentile(window, 0.50),
-            "p90": _percentile(window, 0.90),
-            "p99": _percentile(window, 0.99),
-            "max": window[-1] if window else 0.0,
-        },
+        "count": sum(p["count"] for p in parts),
+        "sum": sum(p["sum"] for p in parts),
+        "min": min((p["min"] for p in seen), default=0.0),
+        "max": max((p["max"] for p in seen), default=0.0),
+        "samples": [v for p in parts for v in p["samples"]],
     }
 
 
-def _merge_sections(dumps: list[dict], section: str) -> dict:
-    """Merge a ``{name: stat-dump}`` section across workers."""
-    names: dict[str, list[dict]] = {}
-    for dump in dumps:
-        for name, stats in (dump.get(section) or {}).items():
-            names.setdefault(name, []).append(stats)
-    return {name: _merge_stat_dumps(parts) for name, parts in sorted(names.items())}
+#: how one series merges across workers, by instrument kind (gauges are
+#: per-process levels and are reported per worker instead)
+_MERGE = {"counter": sum, "histogram": _merge_histograms}
+
+
+def merge_families(exports: list[dict]) -> dict:
+    """Merge registry exports (:meth:`MetricsRegistry.export`) series by
+    series, into one export of the same shape."""
+    grouped: dict[str, tuple[str, dict]] = {}
+    for export in exports:
+        for name, family in export.items():
+            kind, by_labels = grouped.setdefault(name, (family["kind"], {}))
+            for series in family["series"]:
+                key = tuple(sorted(series["labels"].items()))
+                labels, values = by_labels.setdefault(key, (series["labels"], []))
+                values.append(series["value"])
+    return {
+        name: {
+            "kind": kind,
+            "series": [
+                {"labels": labels, "value": _MERGE[kind](values)}
+                for labels, values in by_labels.values()
+            ],
+        }
+        for name, (kind, by_labels) in grouped.items()
+    }
+
+
+def _requests(families: dict) -> int:
+    """One worker's request total across every route."""
+    series = families.get("service.requests", {}).get("series", [])
+    return int(sum(s["value"] for s in series))
 
 
 def _sum_field(dumps: list[dict], section: str, name: str) -> int:
@@ -111,19 +130,6 @@ def _sum_field(dumps: list[dict], section: str, name: str) -> int:
 def merge_worker_dumps(dumps: list[dict]) -> dict:
     """The fleet view: summed counters, merged histograms, labelled gauges."""
     now = time.time()
-    batching = {
-        "batches": _sum_field(dumps, "batching", "batches"),
-        "batched_requests": _sum_field(dumps, "batching", "batched_requests"),
-        "max_batch_size": max(
-            [(d.get("batching") or {}).get("max_batch_size", 0) for d in dumps],
-            default=0,
-        ),
-    }
-    batching["mean_batch_size"] = (
-        batching["batched_requests"] / batching["batches"]
-        if batching["batches"]
-        else 0.0
-    )
     cache = {
         "hits": _sum_field(dumps, "cache", "hits"),
         "misses": _sum_field(dumps, "cache", "misses"),
@@ -141,29 +147,16 @@ def merge_worker_dumps(dumps: list[dict]) -> dict:
             "pid": d.get("pid"),
             "uptime_s": d.get("uptime_s"),
             "inflight": (d.get("admission") or {}).get("inflight", 0),
-            "requests": sum(
-                s.get("requests", 0) for s in (d.get("endpoints") or {}).values()
-            ),
+            "requests": _requests(d.get("families") or {}),
             "sessions": (d.get("sessions") or {}).get("active", 0),
             "age_s": max(0.0, now - d.get("written_unix", now)),
         }
         for d in dumps
     }
-    solvers = _merge_sections(dumps, "solvers")
-    speedup: dict[str, float] = {}
-    sim_mean = (solvers.get("sim") or {}).get("latency_ms", {}).get("mean", 0.0)
-    if sim_mean > 0:
-        for source, stats in solvers.items():
-            mean = stats["latency_ms"]["mean"]
-            if source != "sim" and mean > 0:
-                speedup[source] = sim_mean / mean
     return {
         "workers": workers,
         "n_workers": len(dumps),
-        "endpoints": _merge_sections(dumps, "endpoints"),
-        "solvers": solvers,
-        "speedup_vs_sim": speedup,
-        "batching": batching,
+        **sections(merge_families([d.get("families") or {} for d in dumps])),
         "cache": cache,
         "admission": admission,
         "sessions": {

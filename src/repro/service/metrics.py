@@ -1,119 +1,53 @@
 """Operational counters for the advisor service (the ``/metrics`` body).
 
-Everything here runs on the event loop thread, so plain ints and
-deques are safe without locks.  Latency percentiles are computed over
-a bounded ring buffer per endpoint: recent-window percentiles are what
-an operator tuning the batching knobs actually wants, and the memory
-bound keeps a long-lived server flat.
+:class:`ServiceMetrics` keeps no counter or window of its own: every
+observation is one write into the :class:`~repro.obs.registry.MetricsRegistry`
+(``service.requests|errors|timeouts|sheds{path}``,
+``service.latency_ms{path}``, ``service.solve_ms{source}``,
+``service.batches``, ``service.batched_requests``,
+``service.batch_size``), so the same series show up in the
+Prometheus/JSON exporters alongside engine, runner and cache telemetry.
 
-Since the :mod:`repro.obs` unification, every observation is mirrored
-into the process-wide :class:`~repro.obs.registry.MetricsRegistry`
-(``service.requests``, ``service.errors``, ``service.timeouts``,
-``service.latency_ms``, ``service.batches``, ...), so the same series
-show up in the Prometheus/JSON exporters alongside engine, runner and
-cache telemetry.  The ``/metrics`` JSON keeps its original field names
--- the snapshot shape here is an API.  Registry labels bucket rare
-request paths as ``other`` past a small cap: paths are client
-controlled and label cardinality must stay bounded.
+The ``endpoints``, ``solvers``, ``speedup_vs_sim`` and ``batching``
+sections of ``/metrics`` are derived from those series by
+:func:`sections`, from this process's registry or from the fleet merge
+of every worker's :meth:`ServiceMetrics.export`
+(:mod:`repro.service.aggregate`) alike.  The section shapes are an API.
+Latency percentiles are over the most recent ``latency_window``
+samples (what an operator tuning the batching knobs wants); ``mean``
+and ``max`` are exact lifetime values.
+
+The ``path`` label is the caller's route template (see
+:func:`repro.service.server.route_label`), never a raw URL path: paths
+are client controlled and label cardinality must stay bounded.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import deque
-from dataclasses import dataclass, field
 
 from repro import obs
+from repro.obs.registry import summarize_histogram
 
-__all__ = ["EndpointStats", "ServiceMetrics"]
+__all__ = ["FAMILIES", "ServiceMetrics", "sections"]
 
-#: at most this many distinct path label values before bucketing as "other"
-_MAX_PATH_LABELS = 16
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (q in [0, 1])."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
-
-
-@dataclass
-class EndpointStats:
-    """Request counters + a latency ring buffer for one endpoint.
-
-    ``timeout=True`` implies an error: a timed-out request increments
-    both ``timeouts`` and ``errors`` exactly once, whether or not the
-    caller also passes ``error=True`` (it does -- a 504 status is an
-    error status; the old contract double-counted nothing but silently
-    *under*-counted errors for callers that passed only
-    ``timeout=True``).
-
-    ``shed=True`` marks a load-shed request (HTTP 429).  Every flag
-    combination counts each counter exactly once: a shed request whose
-    client also timed out waiting (``shed=True, timeout=True``) is one
-    request, one shed, one timeout, one error -- never two errors.
-    """
-
-    window: int = 2048
-    requests: int = 0
-    errors: int = 0
-    timeouts: int = 0
-    sheds: int = 0
-    latencies_ms: deque = field(default_factory=deque)
-
-    def observe(
-        self,
-        latency_ms: float,
-        *,
-        error: bool = False,
-        timeout: bool = False,
-        shed: bool = False,
-    ) -> None:
-        self.requests += 1
-        if timeout:
-            self.timeouts += 1
-        if shed:
-            self.sheds += 1
-        if error or timeout or shed:
-            self.errors += 1
-        self.latencies_ms.append(latency_ms)
-        while len(self.latencies_ms) > self.window:
-            self.latencies_ms.popleft()
-
-    def snapshot(self) -> dict:
-        window = sorted(self.latencies_ms)
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "sheds": self.sheds,
-            "latency_ms": {
-                "window": len(window),
-                "mean": sum(window) / len(window) if window else 0.0,
-                "p50": _percentile(window, 0.50),
-                "p90": _percentile(window, 0.90),
-                "p99": _percentile(window, 0.99),
-                "max": window[-1] if window else 0.0,
-            },
-        }
-
-    def dump(self) -> dict:
-        """Counters plus the *raw* latency window, for cross-worker
-        aggregation: percentiles cannot be merged, samples can."""
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "sheds": self.sheds,
-            "latencies_ms": [round(v, 4) for v in self.latencies_ms],
-        }
+#: the registry families :func:`sections` reads (and workers dump)
+FAMILIES = (
+    "service.requests",
+    "service.errors",
+    "service.timeouts",
+    "service.sheds",
+    "service.latency_ms",
+    "service.solve_ms",
+    "service.batches",
+    "service.batched_requests",
+    "service.batch_size",
+)
 
 
 class ServiceMetrics:
-    """All service counters, snapshotted by ``GET /metrics``."""
+    """Writes service observations into the registry; reads ``/metrics``."""
 
     def __init__(
         self,
@@ -129,30 +63,9 @@ class ServiceMetrics:
         self.build_info: dict[str, str] = {}
         self.registry = registry if registry is not None else obs.registry()
         self.registry.gauge("process.start_time_unix").set(self.started_unix)
-        self.endpoints: dict[str, EndpointStats] = {}
-        #: per-engine solve latency ("analytic" / "surrogate" / "sim");
-        #: label cardinality is bounded by the PROFILES constant
-        self.solvers: dict[str, EndpointStats] = {}
-        self._path_labels: set[str] = set()
-        # micro-batcher counters
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch_size = 0
 
-    def endpoint(self, path: str) -> EndpointStats:
-        stats = self.endpoints.get(path)
-        if stats is None:
-            stats = self.endpoints[path] = EndpointStats(window=self._latency_window)
-        return stats
-
-    def _path_label(self, path: str) -> str:
-        """A bounded label value for ``path`` (rare paths -> 'other')."""
-        if path in self._path_labels:
-            return path
-        if len(self._path_labels) < _MAX_PATH_LABELS:
-            self._path_labels.add(path)
-            return path
-        return "other"
+    def uptime_s(self) -> float:
+        return time.monotonic() - self._started
 
     def set_build_info(self, **info: str) -> None:
         """Attach build/config info labels (version, revision, digest).
@@ -173,20 +86,23 @@ class ServiceMetrics:
         timeout: bool = False,
         shed: bool = False,
     ) -> None:
-        self.endpoint(path).observe(
-            latency_ms, error=error, timeout=timeout, shed=shed
-        )
+        """Record one finished request under route label ``path``.
+
+        ``timeout=True`` and ``shed=True`` (HTTP 429, or a spent
+        deadline) imply an error.  Every flag combination counts each
+        counter exactly once: a shed request whose client also timed
+        out waiting is one request, one shed, one timeout, one error.
+        """
         reg = self.registry
-        label = self._path_label(path)
-        reg.counter("service.requests", path=label).inc()
+        reg.counter("service.requests", path=path).inc()
         if timeout:
-            reg.counter("service.timeouts", path=label).inc()
+            reg.counter("service.timeouts", path=path).inc()
         if shed:
-            reg.counter("service.sheds", path=label).inc()
+            reg.counter("service.sheds", path=path).inc()
         if error or timeout or shed:
-            reg.counter("service.errors", path=label).inc()
+            reg.counter("service.errors", path=path).inc()
         reg.histogram(
-            "service.latency_ms", reservoir=self._latency_window, path=label
+            "service.latency_ms", reservoir=self._latency_window, path=path
         ).observe(latency_ms)
 
     def observe_solve(self, source: str, latency_ms: float) -> None:
@@ -195,14 +111,9 @@ class ServiceMetrics:
         One observation per solve *call*: a micro-batched surrogate
         group counts once however many requests it stacked, while the
         sim path (which solves per request) counts per request -- the
-        conservative direction for the ``speedup_vs_sim`` ratio.
+        conservative direction for the ``speedup_vs_sim`` ratio.  Label
+        cardinality is bounded by the PROFILES constant.
         """
-        stats = self.solvers.get(source)
-        if stats is None:
-            stats = self.solvers[source] = EndpointStats(
-                window=self._latency_window
-            )
-        stats.observe(latency_ms)
         self.registry.histogram(
             "service.solve_ms", reservoir=self._latency_window, source=source
         ).observe(latency_ms)
@@ -217,59 +128,87 @@ class ServiceMetrics:
         self.registry.counter("service.stream_events", event=event).inc()
 
     def observe_batch(self, size: int) -> None:
-        self.batches += 1
-        self.batched_requests += size
-        self.max_batch_size = max(self.max_batch_size, size)
         reg = self.registry
         reg.counter("service.batches").inc()
         reg.counter("service.batched_requests").inc(size)
         reg.histogram("service.batch_size").observe(size)
-        reg.gauge("service.max_batch_size").set(self.max_batch_size)
 
-    def _speedup_vs_sim(self) -> dict[str, float]:
-        """Mean-solve-latency ratio of every engine against the sim path."""
-        sim = self.solvers.get("sim")
-        if sim is None or not sim.latencies_ms:
-            return {}
-        sim_mean = sum(sim.latencies_ms) / len(sim.latencies_ms)
-        out: dict[str, float] = {}
-        for source, stats in self.solvers.items():
-            if source == "sim" or not stats.latencies_ms:
-                continue
-            mean = sum(stats.latencies_ms) / len(stats.latencies_ms)
-            if mean > 0:
-                out[source] = sim_mean / mean
-        return out
+    def export(self) -> dict:
+        """The raw, mergeable state of :data:`FAMILIES` (worker dumps)."""
+        return self.registry.export(FAMILIES)
 
     def snapshot(
         self, *, cache: dict | None = None, sessions: dict | None = None
     ) -> dict:
+        uptime_s = self.uptime_s()
         return {
             # additive: the stream-session section (None when the
             # caller has no session manager, e.g. bare-metrics tests)
             "sessions": sessions,
-            "uptime_s": time.monotonic() - self._started,
+            "uptime_s": uptime_s,
             "process": {
                 "start_time_unix": self.started_unix,
-                "uptime_s": time.monotonic() - self._started,
+                "uptime_s": uptime_s,
                 "pid": os.getpid(),
                 **self.build_info,
             },
-            "endpoints": {
-                path: stats.snapshot() for path, stats in sorted(self.endpoints.items())
-            },
-            "solvers": {
-                source: stats.snapshot()
-                for source, stats in sorted(self.solvers.items())
-            },
-            "speedup_vs_sim": self._speedup_vs_sim(),
-            "batching": {
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "max_batch_size": self.max_batch_size,
-                "mean_batch_size": (
-                    self.batched_requests / self.batches if self.batches else 0.0
-                ),
-            },
+            **sections(self.export()),
             "cache": cache,
         }
+
+
+def sections(families: dict) -> dict:
+    """The ``endpoints``/``solvers``/``speedup_vs_sim``/``batching``
+    sections of ``/metrics`` from a :data:`FAMILIES` export."""
+
+    def series(name: str) -> list[dict]:
+        return families.get(name, {}).get("series", [])
+
+    def by_label(name: str, label: str) -> dict:
+        return {s["labels"][label]: s["value"] for s in series(name)}
+
+    errors = by_label("service.errors", "path")
+    timeouts = by_label("service.timeouts", "path")
+    sheds = by_label("service.sheds", "path")
+    latency = by_label("service.latency_ms", "path")
+    endpoints = {
+        path: {
+            "requests": int(count),
+            "errors": int(errors.get(path, 0)),
+            "timeouts": int(timeouts.get(path, 0)),
+            "sheds": int(sheds.get(path, 0)),
+            "latency_ms": summarize_histogram(latency[path]),
+        }
+        for path, count in sorted(by_label("service.requests", "path").items())
+    }
+    solvers = {
+        source: {
+            "requests": raw["count"],
+            "errors": 0,
+            "timeouts": 0,
+            "sheds": 0,
+            "latency_ms": summarize_histogram(raw),
+        }
+        for source, raw in sorted(by_label("service.solve_ms", "source").items())
+    }
+    speedup: dict[str, float] = {}
+    sim = solvers.get("sim")
+    if sim is not None:
+        for source, stats in solvers.items():
+            mean = stats["latency_ms"]["mean"]
+            if source != "sim" and mean > 0:
+                speedup[source] = sim["latency_ms"]["mean"] / mean
+    batches = int(sum(s["value"] for s in series("service.batches")))
+    batched = int(sum(s["value"] for s in series("service.batched_requests")))
+    max_batch = max((s["value"]["max"] for s in series("service.batch_size")), default=0)
+    return {
+        "endpoints": endpoints,
+        "solvers": solvers,
+        "speedup_vs_sim": speedup,
+        "batching": {
+            "batches": batches,
+            "batched_requests": batched,
+            "max_batch_size": int(max_batch),
+            "mean_batch_size": batched / batches if batches else 0.0,
+        },
+    }

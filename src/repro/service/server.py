@@ -55,6 +55,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import os
+import re
 import time
 
 import numpy as np
@@ -86,7 +88,42 @@ from repro.util.cache import config_digest
 from repro.util.errors import ConfigurationError, InfeasibleError
 from repro.util.shmcache import SharedResultCache
 
-__all__ = ["PartitionService", "serve"]
+__all__ = ["PartitionService", "route_label", "serve"]
+
+#: every route served by a fixed path (debug pages also take a query)
+_ROUTES = frozenset(
+    {
+        "/healthz",
+        "/metrics",
+        "/v1/partition",
+        "/v1/partition/batch",
+        "/v1/qos",
+        "/v1/surrogate/reload",
+        "/v1/debug/recent",
+        "/v1/debug/slo",
+        "/v1/debug/drift",
+        "/v1/stream/open",
+    }
+)
+_STREAM_ROUTE = re.compile(r"/v1/stream/([^/]+)(/counters)?")
+
+
+def route_label(path: str) -> str:
+    """The route template serving ``path``; ``"other"`` when none does.
+
+    The router dispatches on this, and it is the ``path`` label of every
+    request metric and SLO event, so the label set is fixed by the code
+    however many distinct paths clients send.
+    """
+    if path.startswith("/v1/debug/"):
+        path = path.partition("?")[0]
+    if path in _ROUTES:
+        return path
+    match = _STREAM_ROUTE.fullmatch(path)
+    if match is None:
+        return "other"
+    return "/v1/stream/{id}/counters" if match[2] else "/v1/stream/{id}"
+
 
 try:
     import json as _json  # noqa: F401  (kept: legacy import surface)
@@ -301,15 +338,16 @@ class PartitionService:
             shed = status == 429 or deadline_shed
             if deadline_shed:
                 self.metrics.registry.counter("service.deadline_sheds").inc()
+            route = route_label(request.path)
             self.metrics.observe_request(
-                request.path,
+                route,
                 latency_ms,
                 error=status >= 400,
                 timeout=timed_out,
                 shed=shed,
             )
             self.watch.observe_request(
-                request.path,
+                route,
                 latency_ms,
                 status=status,
                 error=status >= 400,
@@ -330,69 +368,65 @@ class PartitionService:
         *,
         deadline: Deadline | None = None,
     ) -> tuple[int, dict]:
+        route = route_label(path)
         try:
-            if path == "/healthz":
+            if route == "/healthz":
                 if method != "GET":
                     return _method_not_allowed(method)
                 return 200, {
                     "status": "ok",
-                    "uptime_s": self.metrics.snapshot()["uptime_s"],
+                    "uptime_s": self.metrics.uptime_s(),
                     "batching": self.batcher is not None,
                     "worker_id": self.config.worker_id,
                     "workers": self.config.workers,
                 }
-            if path == "/metrics":
+            if route == "/metrics":
                 if method != "GET":
                     return _method_not_allowed(method)
                 return 200, self._metrics_body()
-            if path == "/v1/partition":
+            if route == "/v1/partition":
                 if method != "POST":
                     return _method_not_allowed(method)
                 return 200, await self._handle_partition(
                     _parse_json(body), deadline=deadline
                 )
-            if path == "/v1/partition/batch":
+            if route == "/v1/partition/batch":
                 if method != "POST":
                     return _method_not_allowed(method)
                 return 200, await self._handle_partition_batch(
                     _parse_json(body), deadline=deadline
                 )
-            if path == "/v1/qos":
+            if route == "/v1/qos":
                 if method != "POST":
                     return _method_not_allowed(method)
                 return 200, await self._handle_qos(
                     _parse_json(body), deadline=deadline
                 )
-            if path == "/v1/surrogate/reload":
+            if route == "/v1/surrogate/reload":
                 if method != "POST":
                     return _method_not_allowed(method)
                 self.surrogate.reload()
                 return 200, self.surrogate.snapshot()
-            if path.startswith("/v1/debug/"):
+            if route.startswith("/v1/debug/"):
                 if method != "GET":
                     return _method_not_allowed(method)
-                return self._handle_debug(path)
-            if path == "/v1/stream/open":
+                return self._handle_debug(route, path.partition("?")[2])
+            if route == "/v1/stream/open":
                 if method != "POST":
                     return _method_not_allowed(method)
                 return 200, self._handle_stream_open(_parse_json(body))
-            if path.startswith("/v1/stream/"):
-                tail = path[len("/v1/stream/"):]
-                if tail.endswith("/counters"):
-                    session_id = tail[: -len("/counters")]
-                    if "/" in session_id or not session_id:
-                        return 404, error_body("NotFound", f"no route for {path!r}")
-                    if method != "POST":
-                        return _method_not_allowed(method)
-                    return await self._handle_stream_push(
-                        session_id, _parse_json(body)
-                    )
-                if tail and "/" not in tail:
-                    if method == "GET":
-                        return self._handle_stream_info(tail)
-                    if method == "DELETE":
-                        return self._handle_stream_close(tail)
+            if route == "/v1/stream/{id}/counters":
+                if method != "POST":
                     return _method_not_allowed(method)
+                session_id = path[len("/v1/stream/"):-len("/counters")]
+                return await self._handle_stream_push(session_id, _parse_json(body))
+            if route == "/v1/stream/{id}":
+                session_id = path[len("/v1/stream/"):]
+                if method == "GET":
+                    return self._handle_stream_info(session_id)
+                if method == "DELETE":
+                    return self._handle_stream_close(session_id)
+                return _method_not_allowed(method)
             return 404, error_body("NotFound", f"no route for {path!r}")
         except DeadlineExceeded as exc:
             # shed-before-solve: the client's budget ran out while the
@@ -477,20 +511,9 @@ class PartitionService:
         )
         return {
             "worker_id": self.config.worker_id,
-            "pid": self.metrics.snapshot()["process"]["pid"],
-            "uptime_s": self.metrics.snapshot()["uptime_s"],
-            "endpoints": {
-                path: stats.dump() for path, stats in self.metrics.endpoints.items()
-            },
-            "solvers": {
-                source: stats.dump()
-                for source, stats in self.metrics.solvers.items()
-            },
-            "batching": {
-                "batches": self.metrics.batches,
-                "batched_requests": self.metrics.batched_requests,
-                "max_batch_size": self.metrics.max_batch_size,
-            },
+            "pid": os.getpid(),
+            "uptime_s": self.metrics.uptime_s(),
+            "families": self.metrics.export(),
             "cache": cache,
             "admission": admission,
             "sessions": {"active": self.sessions.active},
@@ -583,15 +606,14 @@ class PartitionService:
                 *list(self._shadow_tasks), return_exceptions=True
             )
 
-    def _handle_debug(self, path: str) -> tuple[int, dict]:
+    def _handle_debug(self, route: str, query: str) -> tuple[int, dict]:
         """``GET /v1/debug/recent|slo|drift`` (+ simple query params)."""
-        tail, _, query = path[len("/v1/debug/"):].partition("?")
         params: dict[str, str] = {}
         for pair in query.split("&"):
             name, sep, value = pair.partition("=")
             if sep and name:
                 params[name] = value
-        if tail == "recent":
+        if route == "/v1/debug/recent":
             limit: int | None = None
             if "limit" in params:
                 try:
@@ -603,14 +625,12 @@ class PartitionService:
             return 200, self.watch.recorder.snapshot(
                 limit=limit, kind=params.get("kind")
             )
-        if tail == "slo":
+        if route == "/v1/debug/slo":
             return 200, {
                 "alerts": self.watch.alerts(),
                 "slo": self.watch.slo_status(),
             }
-        if tail == "drift":
-            return 200, self.watch.drift_snapshot()
-        return 404, error_body("NotFound", f"no route for {path!r}")
+        return 200, self.watch.drift_snapshot()
 
     def _solve_partition_group(self, requests: list[PartitionRequest]):
         """Timed group solve; resolves the model for surrogate groups.

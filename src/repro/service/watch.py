@@ -4,7 +4,8 @@ One :class:`ServiceWatch` per :class:`~repro.service.server.PartitionService`
 composes the four watch primitives and adapts service events to them:
 
 * every finished request feeds the SLO engine and (when anomalous) the
-  flight recorder;
+  flight recorder, tagged by its route label
+  (:func:`repro.service.server.route_label`);
 * every solve call feeds the per-profile ``solver:<source>`` latency
   objectives;
 * every completed shadow solve feeds the drift monitor with the

@@ -200,10 +200,10 @@ class SLOEngine:
 
     Event feeds:
 
-    * :meth:`record_request` -- one finished HTTP request (availability
-      objectives see ``error``; latency objectives see ``latency_ms``
-      vs their threshold, on non-error requests only -- a 500 in 2 ms
-      is not a fast success);
+    * :meth:`record_request` -- one finished HTTP request, tagged by
+      its route label (availability objectives see ``error``; latency
+      objectives see ``latency_ms`` vs their threshold, on non-error
+      requests only -- a 500 in 2 ms is not a fast success);
     * :meth:`record_solve` -- one solver call, tagged
       ``solver:<source>``;
     * :meth:`set_level` -- the current value of a staleness feed
@@ -230,6 +230,10 @@ class SLOEngine:
             for s in self.slos
             if s.signal != "staleness"
         }
+        #: event selector -> the (objective, counts) pairs it feeds,
+        #: resolved on first sight (selectors are route labels, a
+        #: bounded set)
+        self._fed: dict[str, tuple[tuple[SLO, WindowedCounts], ...]] = {}
         #: staleness feeds: selector -> current level
         self._levels: dict[str, float] = {}
         #: objective name -> clock() time the current breach started
@@ -241,12 +245,19 @@ class SLOEngine:
     def record_request(
         self, path: str, latency_ms: float, *, error: bool
     ) -> None:
-        for slo in self.slos:
-            if slo.signal == "availability" and slo.matches(path):
-                self._counts[slo.name].record(not error)
-            elif slo.signal == "latency" and slo.matches(path) and not error:
+        fed = self._fed.get(path)
+        if fed is None:
+            fed = self._fed[path] = tuple(
+                (slo, self._counts[slo.name])
+                for slo in self.slos
+                if slo.signal != "staleness" and slo.matches(path)
+            )
+        for slo, counts in fed:
+            if slo.signal == "availability":
+                counts.record(not error)
+            elif not error:
                 assert slo.threshold_ms is not None  # enforced at init
-                self._counts[slo.name].record(latency_ms <= slo.threshold_ms)
+                counts.record(latency_ms <= slo.threshold_ms)
 
     def record_solve(self, source: str, latency_ms: float) -> None:
         self.record_request(f"solver:{source}", latency_ms, error=False)

@@ -14,8 +14,14 @@ import json
 import pytest
 
 from repro import obs
-from repro.service import AsyncServiceClient, PartitionService, ServiceConfig
-from repro.service.metrics import EndpointStats
+from repro.service import (
+    AsyncServiceClient,
+    PartitionService,
+    ServiceConfig,
+    ServiceError,
+)
+from repro.service.metrics import ServiceMetrics
+from repro.service.server import route_label
 
 APC = [0.004, 0.007, 0.002]
 API = [0.03, 0.04, 0.01]
@@ -130,50 +136,126 @@ def test_registry_mirrors_service_counters():
     assert reg.get_value("cache.misses", cache="service") == 1.0
 
 
-def test_path_labels_bucket_as_other_past_cap():
-    metrics_registry = obs.MetricsRegistry()
-    from repro.service.metrics import ServiceMetrics
+def test_benchmark_families_exist_after_one_analytic_request():
+    """The contract the serving benchmark reads out of ``/metrics``."""
 
-    m = ServiceMetrics(registry=metrics_registry)
-    for i in range(40):
-        m.observe_request(f"/p{i}", 1.0)
-    # exact per-path stats keep every path ...
-    assert len(m.endpoints) == 40
-    # ... the registry label space stays bounded
-    labels = {
-        labels_["path"]
-        for name, _, labels_, _ in metrics_registry.series()
-        if name == "service.requests"
-    }
-    assert "other" in labels
-    assert metrics_registry.get_value("service.requests", path="other") == 24.0
+    async def scenario(service, client):
+        await client.partition(APC, 0.01, api=API)
+        return await client.metrics()
+
+    families = run_with_service(scenario)["obs"]
+
+    def labels_of(name):
+        return [s["labels"] for s in families[name]["series"]]
+
+    assert {} in labels_of("service.batches")
+    assert {} in labels_of("service.batched_requests")
+    assert {"cache": "service"} in labels_of("cache.hits")
+    assert {"source": "analytic"} in labels_of("service.solve_ms")
+    assert {"path": "/v1/partition"} in labels_of("service.latency_ms")
+
+
+def test_unrouted_paths_label_as_other():
+    for route in (
+        "/healthz",
+        "/metrics",
+        "/v1/partition",
+        "/v1/partition/batch",
+        "/v1/qos",
+        "/v1/surrogate/reload",
+        "/v1/stream/open",
+        "/v1/debug/recent",
+        "/v1/debug/slo",
+        "/v1/debug/drift",
+    ):
+        assert route_label(route) == route
+    assert route_label("/v1/debug/recent?kind=shed&limit=2") == "/v1/debug/recent"
+    assert route_label("/v1/stream/abc") == "/v1/stream/{id}"
+    assert route_label("/v1/stream/abc/counters") == "/v1/stream/{id}/counters"
+    for junk in (
+        "/p0",
+        "/v1/partition?x=1",
+        "/v1/debug/nope",
+        "/v1/stream/",
+        "/v1/stream//counters",
+        "/v1/stream/a/b",
+        "/v1/stream/a/b/counters",
+    ):
+        assert route_label(junk) == "other", junk
+
+
+# ----------------------------------------------------------------------
+# regressions: the request label set is fixed by the routes
+# ----------------------------------------------------------------------
+def test_partition_keeps_its_label_after_many_stream_sessions():
+    async def scenario(service, client):
+        for _ in range(20):
+            session = (await client.stream_open(API, 0.01))["session"]
+            await client.stream_push(session, 100_000, [600, 200, 100])
+        await client.partition(APC, 0.01, api=API)
+        return await client.metrics()
+
+    body = run_with_service(scenario, max_sessions=32)
+    reg = obs.registry()
+    assert reg.get_value("service.requests", path="/v1/partition") == 1.0
+    assert reg.get_value("service.requests", path="other") is None
+    assert body["endpoints"]["/v1/partition"]["requests"] == 1
+    assert body["endpoints"]["/v1/stream/{id}/counters"]["requests"] == 20
+
+
+def test_junk_paths_leave_a_bounded_label_set():
+    n_junk = 10_000
+
+    async def scenario(service, client):
+        for i in range(n_junk):
+            with pytest.raises(ServiceError):
+                await client._request("GET", f"/junk/{i}")
+        return await client.metrics()
+
+    body = run_with_service(scenario)
+    # (the /metrics call itself is recorded after its body is built)
+    assert set(body["endpoints"]) == {"other"}
+    assert body["endpoints"]["other"]["requests"] == n_junk
+    assert body["endpoints"]["other"]["errors"] == n_junk
+    assert len(obs.registry().series()) < 100
 
 
 # ----------------------------------------------------------------------
 # satellite: timeout implies an error exactly once
 # ----------------------------------------------------------------------
 class TestEndpointStatsTimeout:
+    """One request's flags, through ``ServiceMetrics.observe_request``
+    into the registry and the ``/metrics`` endpoint stats."""
+
+    PATH = "/v1/partition"
+
+    def observe(self, **flags):
+        metrics = ServiceMetrics(registry=obs.MetricsRegistry())
+        metrics.observe_request(self.PATH, 5.0, **flags)
+        stats = metrics.snapshot()["endpoints"][self.PATH]
+        reg = metrics.registry
+        assert reg.get_value("service.requests", path=self.PATH) == stats["requests"]
+        for name in ("errors", "timeouts"):
+            assert (reg.get_value(f"service.{name}", path=self.PATH) or 0) == stats[name]
+        return stats
+
     def test_timeout_alone_counts_one_error(self):
-        stats = EndpointStats()
-        stats.observe(5.0, timeout=True)
-        assert stats.timeouts == 1
-        assert stats.errors == 1
+        stats = self.observe(timeout=True)
+        assert stats["timeouts"] == 1
+        assert stats["errors"] == 1
 
     def test_timeout_plus_error_flag_still_counts_once(self):
-        stats = EndpointStats()
-        stats.observe(5.0, error=True, timeout=True)
-        assert stats.timeouts == 1
-        assert stats.errors == 1
+        stats = self.observe(error=True, timeout=True)
+        assert stats["timeouts"] == 1
+        assert stats["errors"] == 1
 
     def test_plain_error_does_not_count_a_timeout(self):
-        stats = EndpointStats()
-        stats.observe(5.0, error=True)
-        assert stats.timeouts == 0
-        assert stats.errors == 1
+        stats = self.observe(error=True)
+        assert stats["timeouts"] == 0
+        assert stats["errors"] == 1
 
     def test_success_counts_neither(self):
-        stats = EndpointStats()
-        stats.observe(5.0)
-        assert stats.requests == 1
-        assert stats.errors == 0
-        assert stats.timeouts == 0
+        stats = self.observe()
+        assert stats["requests"] == 1
+        assert stats["errors"] == 0
+        assert stats["timeouts"] == 0

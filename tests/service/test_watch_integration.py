@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.service import PartitionService, ServiceConfig, ServiceError
-from repro.service.metrics import EndpointStats, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.surrogate.artifact import SurrogateModel, save_model
 from repro.surrogate.fit import DEFAULT_TERMS, QualityThresholds, SchemeFit
 
@@ -52,20 +52,31 @@ def make_drifted_model(schemes: tuple[str, ...] = ("sqrt",)) -> SurrogateModel:
 # satellite: shed accounting counts each flag exactly once
 # ----------------------------------------------------------------------
 class TestShedAccounting:
+    def observe(self, **flags):
+        from repro import obs
+
+        m = ServiceMetrics(registry=obs.MetricsRegistry())
+        m.observe_request("/v1/partition", 1.0, **flags)
+        reg = m.registry
+        counts = tuple(
+            reg.get_value(f"service.{name}", path="/v1/partition") or 0
+            for name in ("requests", "sheds", "errors", "timeouts")
+        )
+        return counts, m.snapshot()["endpoints"]["/v1/partition"]
+
     def test_shed_alone(self):
-        stats = EndpointStats()
-        stats.observe(1.0, shed=True)
-        assert (stats.requests, stats.sheds, stats.errors) == (1, 1, 1)
-        assert stats.timeouts == 0
+        counts, stats = self.observe(shed=True)
+        assert counts == (1, 1, 1, 0)
+        assert (stats["requests"], stats["sheds"], stats["errors"]) == (1, 1, 1)
+        assert stats["timeouts"] == 0
 
     def test_all_flags_count_once_each(self):
-        stats = EndpointStats()
-        stats.observe(1.0, error=True, timeout=True, shed=True)
-        assert stats.requests == 1
-        assert stats.errors == 1  # regression: never double-counted
-        assert stats.timeouts == 1
-        assert stats.sheds == 1
-        assert stats.snapshot()["sheds"] == 1
+        counts, stats = self.observe(error=True, timeout=True, shed=True)
+        assert counts == (1, 1, 1, 1)  # regression: never double-counted
+        assert stats["requests"] == 1
+        assert stats["errors"] == 1
+        assert stats["timeouts"] == 1
+        assert stats["sheds"] == 1
 
     def test_registry_mirrors_sheds_once(self):
         from repro import obs
